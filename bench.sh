@@ -30,8 +30,10 @@
 #                     (conflicts/op confirms snapshot readers never force
 #                     writer retries), and a snapshot reader's time-to-
 #                     first-row on an idle engine vs under closed-loop
-#                     update load. bench_gate.sh holds writer throughput
-#                     under one scan at >= 0.5x uncontended.
+#                     update load, and a primary-key point UPDATE at 1k
+#                     vs 10k rows. bench_gate.sh holds writer throughput
+#                     under one scan at >= 0.5x uncontended and the 10k-row
+#                     point UPDATE within 2x of the 1k-row one.
 #
 #   ./bench.sh              # default -benchtime (stable numbers, slower)
 #   BENCHTIME=5x ./bench.sh # quick smoke datapoint
@@ -91,7 +93,7 @@ echo "$server_out" | to_json > BENCH_server.json
 echo "wrote BENCH_server.json:"
 cat BENCH_server.json
 
-mixed_out=$(go test . -run '^$' -bench 'MixedWriter|MixedFirstRow' \
+mixed_out=$(go test . -run '^$' -bench 'MixedWriter|MixedFirstRow|PointUpdate' \
 	-benchtime "${BENCHTIME:-2s}" -benchmem)
 echo "$mixed_out" | to_json > BENCH_mixed.json
 echo "wrote BENCH_mixed.json:"

@@ -31,6 +31,11 @@
 #     must stay at >= 0.5x the uncontended rate — the MVCC bargain is that
 #     readers cost writers CPU share at most, never lock waits, so a single
 #     analytics scan may not halve OLTP throughput.
+#   - BenchmarkPointUpdate rows=10k vs rows=1k, run fresh like the WAL gate.
+#     A primary-key point UPDATE on a 10x larger table must stay within 2x
+#     of the small one: DML targets are planned through the B+tree and
+#     writers reclaim dead versions on the pages they touch, so point writes
+#     must not scale with the table.
 set -e
 cd "$(dirname "$0")" || exit 1
 
@@ -131,3 +136,25 @@ mixed_gate() {
 	}'
 }
 mixed_gate
+
+# point_gate: a point UPDATE at 10k rows must stay within 2x of the same
+# UPDATE at 1k rows. Both variants run back to back.
+point_gate() {
+	out=$(go test . -run '^$' -bench 'PointUpdate/rows=(1|10)k$' -benchtime "${POINT_GATE_BENCHTIME:-1s}")
+	echo "$out"
+	small=$(echo "$out" | awk '/rows=1k/ { for (i = 1; i <= NF; i++) if ($i == "ns/op") { print $(i-1); exit } }')
+	big=$(echo "$out" | awk '/rows=10k/ { for (i = 1; i <= NF; i++) if ($i == "ns/op") { print $(i-1); exit } }')
+	if [ -z "$small" ] || [ -z "$big" ]; then
+		echo "bench_gate: PointUpdate produced no ns/op datapoints" >&2
+		exit 1
+	fi
+	awk -v s="$small" -v b="$big" 'BEGIN {
+		ratio = b / s
+		if (ratio > 2.0) {
+			printf("bench_gate: point UPDATE at 10k rows %.2fx the 1k-row cost (need <= 2x): 10k %.0f ns/op, 1k %.0f ns/op\n", ratio, b, s)
+			exit 1
+		}
+		printf("bench_gate: point UPDATE at 10k rows %.2fx the 1k-row cost (<= 2x): 10k %.0f ns/op, 1k %.0f ns/op\n", ratio, b, s)
+	}'
+}
+point_gate

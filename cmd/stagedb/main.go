@@ -17,8 +17,8 @@
 // bucket the connection counts against.
 //
 // Meta commands: \stages (per-stage monitors, including the wal
-// pseudo-stage on a durable database), \checkpoint, \explain <select>,
-// \quit (embedded mode; remote mode supports \quit).
+// pseudo-stage on a durable database), \checkpoint, \explain
+// <select|update|delete>, \quit (embedded mode; remote mode supports \quit).
 package main
 
 import (
@@ -266,7 +266,7 @@ func meta(db *stagedb.DB, cmd string) bool {
 		}
 		fmt.Print(out)
 	default:
-		fmt.Println("meta commands: \\stages \\checkpoint \\explain <select> \\quit")
+		fmt.Println("meta commands: \\stages \\checkpoint \\explain <select|update|delete> \\quit")
 	}
 	return true
 }

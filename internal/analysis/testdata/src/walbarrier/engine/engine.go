@@ -19,6 +19,12 @@ func badNilCallback(h *storage.Heap, rec []byte) {
 	h.InsertLogged(rec, nil) // want `page mutation Heap.InsertLogged is not preceded by a WAL append on every path \(WAL-before-data\)`
 }
 
+// badNearNilCallback places a record next to its predecessor without
+// logging it.
+func badNearNilCallback(h *storage.Heap, rec []byte) {
+	h.InsertLoggedNear(1, rec, nil) // want `page mutation Heap.InsertLoggedNear is not preceded by a WAL append on every path \(WAL-before-data\)`
+}
+
 // badEmptyCallback wires a callback that never reaches the WAL, so the
 // mutation is as unlogged as a nil callback.
 func badEmptyCallback(h *storage.Heap, rec []byte) {
@@ -47,6 +53,15 @@ func badTruncate(h *storage.Heap) {
 // heap appends the record under the page latch and reverts if it fails.
 func okLoggedCallback(h *storage.Heap, m *txn.Manager, rec []byte) error {
 	_, err := h.InsertLogged(rec, func(rid storage.RID) (uint64, error) {
+		return m.LogOp(txn.Record{RID: rid, After: rec})
+	})
+	return err
+}
+
+// okNearLoggedCallback places a successor version on its predecessor's
+// page through the logging callback.
+func okNearLoggedCallback(h *storage.Heap, m *txn.Manager, rec []byte) error {
+	_, err := h.InsertLoggedNear(1, rec, func(rid storage.RID) (uint64, error) {
 		return m.LogOp(txn.Record{RID: rid, After: rec})
 	})
 	return err

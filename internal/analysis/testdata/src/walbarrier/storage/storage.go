@@ -22,6 +22,12 @@ func (h *Heap) Insert(rec []byte) (RID, error) { return RID{}, nil }
 // InsertLogged appends a record, calling logf under the page latch.
 func (h *Heap) InsertLogged(rec []byte, logf LogFunc) (RID, error) { return RID{}, nil }
 
+// InsertLoggedNear appends a record on page near when it fits there,
+// calling logf under the page latch.
+func (h *Heap) InsertLoggedNear(near uint32, rec []byte, logf LogFunc) (RID, error) {
+	return RID{}, nil
+}
+
 // Update rewrites the record at rid without logging.
 func (h *Heap) Update(rid RID, rec []byte) (RID, error) { return rid, nil }
 

@@ -6,10 +6,10 @@ package analysis
 // describes it. Concretely, every heap or page mutation in a package whose
 // import path ends in "engine" must be covered by one of
 //
-//  1. the logging-callback protocol — Heap.InsertLogged/UpdateLogged/
-//     DeleteLogged with a callback that appends to the WAL (the heap mutates
-//     the page while pinned and reverts if the append fails, so the record
-//     is durable-ordered before the mutation becomes visible);
+//  1. the logging-callback protocol — Heap.InsertLogged/InsertLoggedNear/
+//     UpdateLogged/DeleteLogged with a callback that appends to the WAL (the
+//     heap mutates the page while pinned and reverts if the append fails, so
+//     the record is durable-ordered before the mutation becomes visible);
 //  2. a dominating WAL append — an Append/LogOp/AppendCLR call that executes
 //     on every path before the mutation (the recovery undo shape: append the
 //     CLR, then clear the slot);
@@ -237,7 +237,7 @@ func (c *walChecker) mutationCall(call *ast.CallExpr) (walSite, bool) {
 			return walSite{pos: call.Pos(), name: "Heap." + m}, true
 		}
 	}
-	for _, m := range [...]string{"InsertLogged", "UpdateLogged", "DeleteLogged"} {
+	for _, m := range [...]string{"InsertLogged", "InsertLoggedNear", "UpdateLogged", "DeleteLogged"} {
 		if isMethodCall(info, call, "storage", "Heap", m) {
 			s := walSite{pos: call.Pos(), name: "Heap." + m, logged: true}
 			if len(call.Args) > 0 {

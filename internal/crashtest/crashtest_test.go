@@ -69,7 +69,11 @@ func childMain(dir string) error {
 	for k := start; ; k++ {
 		script := fmt.Sprintf("BEGIN; INSERT INTO kv VALUES (%d, %d), (%d, %d);", 3*k, 3*k, 3*k+1, 3*k+1)
 		if k > 1 {
-			script += fmt.Sprintf(" UPDATE kv SET v = v + 100 WHERE id = %d;", 3*(k-1))
+			// A chained point update of the previous txn's row, and a
+			// value-preserving update of hot row 4 (v stays 4): every txn
+			// prunes row 4's last version and refills its page, so kills
+			// land mid-prune and mid-compaction too.
+			script += fmt.Sprintf(" UPDATE kv SET v = v + 100 WHERE id = %d; UPDATE kv SET v = v WHERE id = 4;", 3*(k-1))
 		}
 		script += " COMMIT;"
 		if err := db.ExecScript(script); err != nil {

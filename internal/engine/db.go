@@ -175,9 +175,13 @@ func (db *DB) begin() txn.ID {
 func (db *DB) visibleFunc(id txn.ID) exec.VisibleFunc {
 	snap := db.mv.SnapshotOf(uint64(id))
 	if snap == nil {
-		return func(xmin, xmax uint64) bool { return xmax == 0 }
+		return func(vers []exec.RowVer, keep []bool) {
+			for i, v := range vers {
+				keep[i] = v.Xmax == 0
+			}
+		}
 	}
-	return func(xmin, xmax uint64) bool { return db.mv.Visible(snap, xmin, xmax) }
+	return func(vers []exec.RowVer, keep []bool) { db.mv.VisibleAll(snap, vers, keep) }
 }
 
 // decodeVersioned strips a heap record's version header and decodes the row
@@ -799,57 +803,120 @@ type mvTarget struct {
 	rec []byte
 }
 
-// collectTargets scans the heap for versions visible to transaction id's
-// snapshot that match pred. A visible match that already carries a deleter
-// stamp is a first-committer-wins conflict: under the table's exclusive
-// lock that deleter must have committed, and it did so after our snapshot
-// began (otherwise the version would be invisible) — so the statement fails
-// with ErrSerializationFailure instead of silently overwriting.
+// ExplainTarget renders the target access path of an UPDATE or DELETE —
+// the scan plan.BindTarget chooses for its WHERE — as one line, e.g.
+// "Update acct ← IndexScan acct via pk_acct [$1, $1]  (~1 rows)".
+func (db *DB) ExplainTarget(stmt sql.Statement) (string, error) {
+	var verb, table string
+	var where sql.Expr
+	switch x := stmt.(type) {
+	case *sql.Update:
+		verb, table, where = "Update", x.Table, x.Where
+	case *sql.Delete:
+		verb, table, where = "Delete", x.Table, x.Where
+	default:
+		return "", fmt.Errorf("engine: %T has no target access path", stmt)
+	}
+	tbl, err := db.cat.Get(table)
+	if err != nil {
+		return "", err
+	}
+	scan, _, err := plan.BindTarget(tbl, where, db.cfg.PlanOptions)
+	if err != nil {
+		return "", err
+	}
+	return verb + " " + table + " ← " + plan.Explain(scan), nil
+}
+
+// collectTargets gathers the versions visible to transaction id's snapshot
+// that match pred, reading candidates through scan — the access path
+// plan.BindTarget chose. An IndexScan probes the B+tree range and fetches
+// each entry's version, skipping slots that vacuum or pruning reclaimed
+// (dead versions stay indexed until then); a SeqScan walks the heap. The
+// full predicate is applied to every candidate either way. A visible match
+// that already carries a deleter stamp is a first-committer-wins conflict:
+// under the table's exclusive lock that deleter must have committed, and it
+// did so after our snapshot began (otherwise the version would be
+// invisible) — so the statement fails with ErrSerializationFailure instead
+// of silently overwriting.
 //
-// The heap callback only collects (mutation under the scan latch is
-// forbidden); callers apply their writes to the returned slice.
-func (db *DB) collectTargets(id txn.ID, tbl *catalog.Table, h *storage.Heap, pred plan.Expr) ([]mvTarget, error) {
+// Targets are collected before any is written, so an UPDATE that moves a
+// row within the scanned range never revisits its own successors.
+func (db *DB) collectTargets(id txn.ID, tbl *catalog.Table, h *storage.Heap, scan plan.Node, pred plan.Expr) ([]mvTarget, error) {
 	snap := db.mv.SnapshotOf(uint64(id))
 	if snap == nil {
 		return nil, fmt.Errorf("engine: transaction %d has no snapshot", id)
 	}
+	var match plan.CompiledPredicate
+	if pred != nil {
+		match = plan.CompilePredicate(pred)
+	}
 	var targets []mvTarget
-	var scanErr error
-	h.Scan(func(rid storage.RID, rec []byte) bool {
+	// consider adds rec, the version at rid, to the targets when it is
+	// visible and matches; rec need only be valid for the call.
+	consider := func(rid storage.RID, rec []byte) error {
 		xmin, xmax, err := storage.VersionOf(rec)
 		if err != nil {
-			scanErr = err
-			return false
+			return err
 		}
 		if !db.mv.Visible(snap, xmin, xmax) {
-			return true
+			return nil
 		}
 		row, err := decodeVersioned(tbl.Schema, rec)
 		if err != nil {
-			scanErr = err
-			return false
+			return err
 		}
-		if pred != nil {
-			ok, err := plan.EvalPredicate(pred, row)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			if !ok {
-				return true
+		if match != nil {
+			ok, err := match(row)
+			if err != nil || !ok {
+				return err
 			}
 		}
 		if xmax != 0 {
 			db.mv.Conflict()
-			scanErr = fmt.Errorf("engine: row %v of %s superseded by concurrent txn %d: %w",
+			return fmt.Errorf("engine: row %v of %s superseded by concurrent txn %d: %w",
 				rid, tbl.Name, xmax, mvcc.ErrSerializationFailure)
-			return false
 		}
-		cp := make([]byte, len(rec))
-		copy(cp, rec)
-		targets = append(targets, mvTarget{rid: rid, row: row, rec: cp})
-		return true
-	})
+		targets = append(targets, mvTarget{rid: rid, row: row, rec: append([]byte(nil), rec...)})
+		return nil
+	}
+	if ix, ok := scan.(*plan.IndexScan); ok {
+		bt, err := db.IndexOf(ix.Index)
+		if err != nil {
+			return nil, err
+		}
+		lo, hi, err := ix.Bounds()
+		if err != nil {
+			return nil, err
+		}
+		if (ix.LoExpr != nil && lo.IsNull()) || (ix.HiExpr != nil && hi.IsNull()) {
+			return nil, nil // a NULL key parameter matches no row
+		}
+		cur := bt.Cursor(lo, hi)
+		for {
+			_, rid, ok := cur.Next()
+			if !ok {
+				return targets, nil
+			}
+			rec, live, err := h.GetIf(rid)
+			if err != nil {
+				return nil, err
+			}
+			if !live {
+				continue // reclaimed since it was indexed
+			}
+			if err := consider(rid, rec); err != nil {
+				return nil, err
+			}
+		}
+	}
+	var scanErr error
+	if err := h.Scan(func(rid storage.RID, rec []byte) bool {
+		scanErr = consider(rid, rec)
+		return scanErr == nil
+	}); err != nil {
+		return nil, err
+	}
 	if scanErr != nil {
 		return nil, scanErr
 	}
@@ -878,12 +945,43 @@ func (db *DB) supersede(id txn.ID, tbl *catalog.Table, h *storage.Heap, rid stor
 	return nil
 }
 
+// pruner reclaims dead versions on the pages a writer supersedes versions
+// on (prune on write), each page at most once per statement. The horizon is
+// fixed when the statement's writes begin; the writer's own snapshot pins
+// it, so it never passes a concurrent reader.
+type pruner struct {
+	db      *DB
+	id      txn.ID
+	tbl     *catalog.Table
+	h       *storage.Heap
+	horizon vclock.Time
+	done    map[storage.PageID]bool
+}
+
+func (db *DB) newPruner(id txn.ID, tbl *catalog.Table, h *storage.Heap) *pruner {
+	return &pruner{db: db, id: id, tbl: tbl, h: h,
+		horizon: db.mv.OldestActiveTS(), done: make(map[storage.PageID]bool)}
+}
+
+// page prunes heap page pid unless this statement already did.
+func (p *pruner) page(pid storage.PageID) error {
+	if p.done[pid] {
+		return nil
+	}
+	p.done[pid] = true
+	n, err := p.db.prunePage(p.id, p.tbl, p.h, pid, p.horizon)
+	p.db.mv.PrunedOnWrite(n)
+	return err
+}
+
 // update implements UPDATE as supersede-plus-insert: each target's current
 // version gets this transaction stamped as its deleter (in place — readers
-// at older snapshots keep seeing it), and a fresh version with the new
-// values is inserted alongside. Index entries for the old version remain
-// until vacuum reclaims it, so index readers at old snapshots still reach
-// it; only the new version gains new entries.
+// at older snapshots keep seeing it), the target's page is pruned of
+// versions no snapshot can see any more, and a fresh version with the new
+// values is inserted — on the same page when it fits there. Index entries
+// for the old version remain until pruning or vacuum reclaims it, so index
+// readers at old snapshots still reach it; only the new version gains new
+// entries.
 func (db *DB) update(ctx context.Context, id txn.ID, stmt *sql.Update) (*Result, error) {
 	tbl, err := db.cat.Get(stmt.Table)
 	if err != nil {
@@ -898,16 +996,9 @@ func (db *DB) update(ctx context.Context, id txn.ID, stmt *sql.Update) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	var pred plan.Expr
-	if stmt.Where != nil {
-		pred, err = plan.BindTableExpr(tbl, stmt.Where)
-		if err != nil {
-			return nil, err
-		}
-	}
 	sets := make([]struct {
 		col  int
-		expr plan.Expr
+		eval plan.CompiledExpr
 	}, len(stmt.Sets))
 	for i, a := range stmt.Sets {
 		ci := tbl.Schema.ColumnIndex(a.Column)
@@ -918,19 +1009,26 @@ func (db *DB) update(ctx context.Context, id txn.ID, stmt *sql.Update) (*Result,
 		if err != nil {
 			return nil, err
 		}
-		sets[i].col, sets[i].expr = ci, e
+		sets[i].col, sets[i].eval = ci, plan.Compile(e)
 	}
-
-	targets, err := db.collectTargets(id, tbl, h, pred)
+	scan, pred, err := plan.BindTarget(tbl, stmt.Where, db.cfg.PlanOptions)
+	if err != nil {
+		return nil, err
+	}
+	targets, err := db.collectTargets(id, tbl, h, scan, pred)
+	if err != nil {
+		return nil, err
+	}
+	trees, err := db.treesOf(tbl)
 	if err != nil {
 		return nil, err
 	}
 
-	var affected int64
+	prune := db.newPruner(id, tbl, h)
 	for _, tg := range targets {
 		newRow := tg.row.Clone()
 		for _, set := range sets {
-			v, err := set.expr.Eval(tg.row)
+			v, err := set.eval(tg.row)
 			if err != nil {
 				return nil, err
 			}
@@ -947,29 +1045,28 @@ func (db *DB) update(ctx context.Context, id txn.ID, stmt *sql.Update) (*Result,
 		if err := db.supersede(id, tbl, h, tg.rid, tg.rec); err != nil {
 			return nil, err
 		}
+		if err := prune.page(tg.rid.Page); err != nil {
+			return nil, err
+		}
 		newRec := mvcc.NewVersion(uint64(id), payload)
-		newRID, err := h.InsertLogged(newRec, func(rid storage.RID) (uint64, error) {
+		newRID, err := h.InsertLoggedNear(tg.rid.Page, newRec, func(rid storage.RID) (uint64, error) {
 			return db.tm.LogOp(txn.Record{Txn: id, Kind: txn.RecInsert, Table: tbl.Name,
 				RID: rid, After: newRec})
 		})
 		if err != nil {
 			return nil, err
 		}
-		for _, ixMeta := range tbl.Indexes {
-			bt, err := db.IndexOf(ixMeta)
-			if err != nil {
-				return nil, err
-			}
-			bt.Insert(norm[ixMeta.ColIdx], newRID)
+		for i, ixMeta := range tbl.Indexes {
+			trees[i].Insert(norm[ixMeta.ColIdx], newRID)
 		}
-		affected++
 	}
-	return &Result{Affected: affected}, nil
+	return &Result{Affected: int64(len(targets))}, nil
 }
 
 // delete implements DELETE as an xmax stamp: the version stays in the heap
 // (readers at older snapshots keep seeing it) and its index entries stay in
-// place; vacuum reclaims both once no snapshot can see the version.
+// place; pruning or vacuum reclaims both once no snapshot can see the
+// version. Each target's page is pruned as in update.
 func (db *DB) delete(ctx context.Context, id txn.ID, stmt *sql.Delete) (*Result, error) {
 	tbl, err := db.cat.Get(stmt.Table)
 	if err != nil {
@@ -984,25 +1081,24 @@ func (db *DB) delete(ctx context.Context, id txn.ID, stmt *sql.Delete) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	var pred plan.Expr
-	if stmt.Where != nil {
-		pred, err = plan.BindTableExpr(tbl, stmt.Where)
-		if err != nil {
-			return nil, err
-		}
-	}
-	targets, err := db.collectTargets(id, tbl, h, pred)
+	scan, pred, err := plan.BindTarget(tbl, stmt.Where, db.cfg.PlanOptions)
 	if err != nil {
 		return nil, err
 	}
-	var affected int64
+	targets, err := db.collectTargets(id, tbl, h, scan, pred)
+	if err != nil {
+		return nil, err
+	}
+	prune := db.newPruner(id, tbl, h)
 	for _, tg := range targets {
 		if err := db.supersede(id, tbl, h, tg.rid, tg.rec); err != nil {
 			return nil, err
 		}
-		affected++
+		if err := prune.page(tg.rid.Page); err != nil {
+			return nil, err
+		}
 	}
-	return &Result{Affected: affected}, nil
+	return &Result{Affected: int64(len(targets))}, nil
 }
 
 // --- SELECT ---

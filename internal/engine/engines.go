@@ -618,8 +618,13 @@ func (s *Staged) execute(pkt *core.Packet) (core.Verdict, error) {
 	// multi-hundred-millisecond time-to-first-row for the first analytic
 	// query under closed-loop writers. Yielding here, before this worker has
 	// woken its successor, is the one point in the chain where the handoff
-	// slot is empty, so the yield actually drains the queue.
-	runtime.Gosched()
+	// slot is empty, so the yield actually drains the queue. With more than
+	// one P, idle Ps steal those goroutines instead, and the yield would only
+	// park every statement behind the runnable scan work (it cost a point
+	// UPDATE under one concurrent scan a third of its throughput on 2 CPUs).
+	if runtime.GOMAXPROCS(0) == 1 {
+		runtime.Gosched()
+	}
 	req := pkt.Backpack.(*Request)
 	if err := req.ctxErr(); err != nil {
 		return core.Done, err

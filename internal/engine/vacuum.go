@@ -1,13 +1,17 @@
 package engine
 
 // vacuum.go is the MVCC garbage collector. UPDATE and DELETE never remove
-// heap records — they stamp an xmax and (for UPDATE) insert a successor —
-// so dead versions accumulate until vacuum reclaims them. A version is
-// reclaimable once its deleter committed at or before the oldest active
-// snapshot's begin timestamp: no present snapshot can see it, and every
-// future snapshot begins later. Reclamation runs as an ordinary system
-// transaction — exclusive table lock, logged physical deletes, index entry
-// removal — so crash recovery and the WAL invariants hold unchanged.
+// heap records in place of the versions they replace — they stamp an xmax
+// and (for UPDATE) insert a successor — so dead versions accumulate until
+// they are reclaimed. A version is reclaimable once its deleter committed at
+// or before the oldest active snapshot's begin timestamp: no present
+// snapshot can see it, and every future snapshot begins later. Reclamation
+// is one per-page routine (prunePage) run two ways: by writers, on the page
+// of every version they supersede (prune on write, inside the writer's own
+// transaction), and by Vacuum over every page in a system transaction. Both
+// run under the table's exclusive lock with logged physical deletes and
+// index entry removal, so crash recovery and the WAL invariants hold
+// unchanged.
 
 import (
 	"context"
@@ -16,7 +20,7 @@ import (
 	"stagedb/internal/mvcc"
 	"stagedb/internal/storage"
 	"stagedb/internal/txn"
-	"stagedb/internal/value"
+	"stagedb/internal/vclock"
 )
 
 // mvccCounters renders mvcc.Stats for stage snapshots (the \stages view).
@@ -27,6 +31,7 @@ func mvccCounters(st mvcc.Stats) map[string]int64 {
 		"aborts":           st.Aborts,
 		"conflicts":        st.Conflicts,
 		"versions_pruned":  st.VersionsPruned,
+		"pruned_on_write":  st.PrunedOnWrite,
 		"active_snapshots": int64(st.ActiveSnapshots),
 		"status_entries":   int64(st.StatusEntries),
 		"oldest_active_ts": int64(st.OldestActiveTS),
@@ -113,16 +118,33 @@ func (db *DB) vacuumTable(ctx context.Context, id txn.ID, tbl *catalog.Table) (i
 	// The horizon is pinned by our own snapshot among others, so it cannot
 	// advance past concurrent readers while we hold it.
 	horizon := db.mv.OldestActiveTS()
+	var n int64
+	for _, pid := range h.PageIDs() {
+		k, err := db.prunePage(id, tbl, h, pid, horizon)
+		n += k
+		if err != nil {
+			return n, err
+		}
+	}
+	return n, nil
+}
+
+// prunePage reclaims the dead versions on heap page pid that no snapshot can
+// see — those whose deleter committed at or before horizon — inside
+// transaction id, and returns how many it removed. Each reclaim is a logged
+// delete plus the removal of the version's index entries, so rollback and
+// crash recovery treat it like any other write of id. It is the one
+// per-version reclaim routine: VacuumTable runs it over every page, and
+// writers run it on each page they supersede a version on (prune on write).
+// The caller holds the table's exclusive lock.
+func (db *DB) prunePage(id txn.ID, tbl *catalog.Table, h *storage.Heap, pid storage.PageID, horizon vclock.Time) (int64, error) {
 	type victim struct {
 		rid storage.RID
-		row value.Row
 		rec []byte
 	}
-	// Collect first: the scan callback runs under the heap's read latch and
-	// must not mutate.
 	var victims []victim
 	var scanErr error
-	h.Scan(func(rid storage.RID, rec []byte) bool {
+	if err := h.ScanPage(pid, func(rid storage.RID, rec []byte) bool {
 		_, xmax, err := storage.VersionOf(rec)
 		if err != nil {
 			scanErr = err
@@ -131,22 +153,20 @@ func (db *DB) vacuumTable(ctx context.Context, id txn.ID, tbl *catalog.Table) (i
 		if xmax == 0 {
 			return true // live in the latest state
 		}
-		ts, committed := db.mv.CommittedTS(xmax)
-		if !committed || ts > horizon {
+		if ts, committed := db.mv.CommittedTS(xmax); !committed || ts > horizon {
 			return true // deleter unresolved or visible to some snapshot
 		}
-		row, err := decodeVersioned(tbl.Schema, rec)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		cp := make([]byte, len(rec))
-		copy(cp, rec)
-		victims = append(victims, victim{rid: rid, row: row, rec: cp})
+		victims = append(victims, victim{rid: rid, rec: append([]byte(nil), rec...)})
 		return true
-	})
-	if scanErr != nil {
+	}); err != nil {
+		return 0, err
+	}
+	if scanErr != nil || len(victims) == 0 {
 		return 0, scanErr
+	}
+	trees, err := db.treesOf(tbl)
+	if err != nil {
+		return 0, err
 	}
 	var n int64
 	for _, v := range victims {
@@ -157,14 +177,29 @@ func (db *DB) vacuumTable(ctx context.Context, id txn.ID, tbl *catalog.Table) (i
 		}); err != nil {
 			return n, err
 		}
-		for _, ixMeta := range tbl.Indexes {
-			bt, err := db.IndexOf(ixMeta)
+		if len(trees) > 0 {
+			row, err := decodeVersioned(tbl.Schema, v.rec)
 			if err != nil {
 				return n, err
 			}
-			bt.Delete(v.row[ixMeta.ColIdx], v.rid)
+			for i, ixMeta := range tbl.Indexes {
+				trees[i].Delete(row[ixMeta.ColIdx], v.rid)
+			}
 		}
 		n++
 	}
 	return n, nil
+}
+
+// treesOf returns the B+trees of tbl's indexes, in tbl.Indexes order.
+func (db *DB) treesOf(tbl *catalog.Table) ([]*storage.BTree, error) {
+	trees := make([]*storage.BTree, len(tbl.Indexes))
+	for i, ixMeta := range tbl.Indexes {
+		bt, err := db.IndexOf(ixMeta)
+		if err != nil {
+			return nil, err
+		}
+		trees[i] = bt
+	}
+	return trees, nil
 }

@@ -74,10 +74,12 @@ func ResolveWorkMem(v int64) int64 {
 	return v
 }
 
-// VisibleFunc decides whether a record version stamped (xmin, xmax) is
-// visible to the running query's snapshot. The engine derives it from the
-// MVCC manager; exec only threads it into the scans.
-type VisibleFunc func(xmin, xmax uint64) bool
+// VisibleFunc decides which record versions the running query's snapshot
+// sees: it sets keep[i] for each stamp vers[i] (len(keep) == len(vers)).
+// Sequential scans call it once per heap page, so the engine consults its
+// transaction-status table once per page, not once per row. The engine
+// derives it from the MVCC manager; exec only threads it into the scans.
+type VisibleFunc func(vers []RowVer, keep []bool)
 
 // BuildConfig parameterizes operator construction.
 type BuildConfig struct {
@@ -326,6 +328,13 @@ type seqScan struct {
 	pred     plan.CompiledPredicate // compiled pushed-down filter; nil = all
 	vis      VisibleFunc            // MVCC visibility; nil = unversioned records
 
+	// Per-page visibility scratch: a page's version stamps, the payloads
+	// they head (end offsets into payload), and the verdicts.
+	vers    []RowVer
+	offs    []int
+	payload []byte
+	keep    []bool
+
 	// Shared-scan wiring, injected by the staged driver when scan sharing is
 	// enabled: attach joins the fscan stage's in-flight circular scan on the
 	// pipeline's behalf (returning nil when the query already ended) instead
@@ -375,34 +384,89 @@ func (s *seqScan) Open() error {
 	return nil
 }
 
-// accept strips the version header (versioned mode), applies visibility and
-// the pushed-down predicate, and pushes surviving rows onto the output page.
-func (s *seqScan) accept(rec []byte) (bool, error) {
-	if s.vis != nil {
-		xmin, xmax, err := storage.VersionOf(rec)
-		if err != nil {
-			return false, err
+// scanPage decodes heap page id's surviving rows onto the output page. In
+// versioned mode it first gathers the page's version stamps (and copies of
+// their payloads) so visibility is decided in one call for the whole page.
+func (s *seqScan) scanPage(id storage.PageID) error {
+	var err error
+	if s.vis == nil {
+		if serr := s.heap.ScanPage(id, func(_ storage.RID, rec []byte) bool {
+			err = s.accept(rec)
+			return err == nil
+		}); serr != nil {
+			return serr
 		}
-		if !s.vis(xmin, xmax) {
-			return true, nil
-		}
-		rec, _ = storage.PayloadOf(rec)
+		return err
 	}
+	if s.payload == nil {
+		// Sized for a typical page up front, so a short (LIMIT) scan does
+		// not pay for growing the scratch record by record.
+		s.payload = make([]byte, 0, storage.PageSize)
+		s.vers, s.offs = make([]RowVer, 0, 64), make([]int, 0, 64)
+	}
+	s.vers, s.offs, s.payload = s.vers[:0], s.offs[:0], s.payload[:0]
+	if serr := s.heap.ScanPage(id, func(_ storage.RID, rec []byte) bool {
+		var xmin, xmax uint64
+		if xmin, xmax, err = storage.VersionOf(rec); err != nil {
+			return false
+		}
+		payload, _ := storage.PayloadOf(rec)
+		s.vers = append(s.vers, RowVer{Xmin: xmin, Xmax: xmax})
+		s.payload = append(s.payload, payload...)
+		s.offs = append(s.offs, len(s.payload))
+		return true
+	}); serr != nil {
+		return serr
+	}
+	if err != nil {
+		return err
+	}
+	s.keep = visibleInto(s.vis, s.vers, s.keep)
+	start := 0
+	for i, end := range s.offs {
+		if s.keep[i] {
+			if err := s.accept(s.payload[start:end]); err != nil {
+				return err
+			}
+		}
+		start = end
+	}
+	return nil
+}
+
+// visibleInto decides the visibility of vers into keep, grown as needed. A
+// nil vis (a consumer without a snapshot) reads the latest state: live
+// versions only.
+func visibleInto(vis VisibleFunc, vers []RowVer, keep []bool) []bool {
+	if cap(keep) < len(vers) {
+		keep = make([]bool, len(vers))
+	}
+	keep = keep[:len(vers)]
+	if vis != nil {
+		vis(vers, keep)
+		return keep
+	}
+	for i, v := range vers {
+		keep[i] = v.Xmax == 0
+	}
+	return keep
+}
+
+// accept decodes a row payload, applies the pushed-down predicate, and
+// pushes a surviving row onto the output page.
+func (s *seqScan) accept(rec []byte) error {
 	row, err := storage.DecodeRow(s.node.Table.Schema, rec)
 	if err != nil {
-		return false, err
+		return err
 	}
 	if s.pred != nil {
 		keep, err := s.pred(row)
-		if err != nil {
-			return false, err
-		}
-		if !keep {
-			return true, nil
+		if err != nil || !keep {
+			return err
 		}
 	}
 	s.push(row)
-	return true, nil
+	return nil
 }
 
 // push appends an accepted row to the output page under construction.
@@ -439,16 +503,7 @@ func (s *seqScan) Next() (*Page, error) {
 		}
 		id := s.privPages[s.privIdx]
 		s.privIdx++
-		var accErr error
-		err := s.heap.ScanPage(id, func(_ storage.RID, rec []byte) bool {
-			ok, err := s.accept(rec)
-			accErr = err
-			return ok
-		})
-		if err == nil {
-			err = accErr
-		}
-		if err != nil {
+		if err := s.scanPage(id); err != nil {
 			return nil, err
 		}
 	}
@@ -469,18 +524,11 @@ func (s *seqScan) nextShared() (*Page, error) {
 				s.fanI++
 				// Versioned producers carry each row's (xmin, xmax) in a
 				// parallel sidecar; visibility is per-consumer (snapshots
-				// differ), so it is applied here during copy-out — fan pages
-				// are shared and never narrowed. A consumer without a
-				// snapshot reads latest-state: live versions only.
-				if s.fan.Vers != nil {
-					v := s.fan.Vers[i]
-					if s.vis != nil {
-						if !s.vis(v.Xmin, v.Xmax) {
-							continue
-						}
-					} else if v.Xmax != 0 {
-						continue
-					}
+				// differ), so it is decided when the page arrives and
+				// applied here during copy-out — fan pages are shared and
+				// never narrowed.
+				if s.fan.Vers != nil && !s.keep[i] {
+					continue
 				}
 				if s.pred != nil {
 					keep, err := s.pred(row)
@@ -529,6 +577,9 @@ func (s *seqScan) nextShared() (*Page, error) {
 			continue
 		}
 		s.fan, s.fanI = pg, 0
+		if pg.Vers != nil {
+			s.keep = visibleInto(s.vis, pg.Vers, s.keep)
+		}
 	}
 	return s.emit(), nil
 }
@@ -546,16 +597,7 @@ func (s *seqScan) nextContinuation() error {
 	if s.contLeft == 0 {
 		s.eos = true
 	}
-	var accErr error
-	err := s.heap.ScanPage(id, func(_ storage.RID, rec []byte) bool {
-		ok, err := s.accept(rec)
-		accErr = err
-		return ok
-	})
-	if err == nil {
-		err = accErr
-	}
-	return err
+	return s.scanPage(id)
 }
 
 func (s *seqScan) Close() error {
@@ -580,6 +622,8 @@ type indexScan struct {
 	pool     *PagePool
 	pred     plan.CompiledPredicate
 	vis      VisibleFunc // MVCC visibility; nil = unversioned records
+	ver      [1]RowVer   // visibility scratch for one fetched version
+	keep     [1]bool
 
 	cur *storage.TreeCursor
 	out *Page
@@ -618,7 +662,8 @@ func (s *indexScan) Next() (*Page, error) {
 			if err != nil {
 				return nil, err
 			}
-			if !s.vis(xmin, xmax) {
+			s.ver[0] = RowVer{Xmin: xmin, Xmax: xmax}
+			if s.vis(s.ver[:], s.keep[:]); !s.keep[0] {
 				continue
 			}
 			rec, _ = storage.PayloadOf(rec)

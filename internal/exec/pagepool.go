@@ -25,15 +25,14 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"stagedb/internal/mvcc"
 	"stagedb/internal/plan"
 	"stagedb/internal/value"
 )
 
 // RowVer carries a row's MVCC version stamps alongside the decoded row in a
 // shared-scan fan-out page.
-type RowVer struct {
-	Xmin, Xmax uint64
-}
+type RowVer = mvcc.Stamp
 
 // Page is a batch of rows exchanged between operators.
 type Page struct {

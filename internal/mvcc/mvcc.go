@@ -75,6 +75,7 @@ type Stats struct {
 	Aborts          int64 // transactions stamped aborted
 	Conflicts       int64 // serialization failures raised
 	VersionsPruned  int64 // dead versions physically reclaimed by vacuum
+	PrunedOnWrite   int64 // dead versions writers reclaimed from the pages they wrote
 	ActiveSnapshots int   // snapshots currently open
 	StatusEntries   int   // transaction-status entries retained
 	OldestActiveTS  vclock.Time
@@ -85,12 +86,15 @@ type Stats struct {
 type Manager struct {
 	oracle *vclock.Oracle
 
-	mu     sync.RWMutex
-	txns   map[uint64]*txnStatus
-	active map[uint64]*Snapshot   // open snapshot per transaction id
-	snaps  map[*Snapshot]struct{} // all open snapshots (GC horizon)
+	mu   sync.RWMutex
+	txns map[uint64]*txnStatus
+	// pruneAt is the status-table size at which the next commit prunes:
+	// twice the size the last prune left (see Commit).
+	pruneAt int
+	active  map[uint64]*Snapshot   // open snapshot per transaction id
+	snaps   map[*Snapshot]struct{} // all open snapshots (GC horizon)
 
-	begins, commits, aborts, conflicts, pruned atomic.Int64
+	begins, commits, aborts, conflicts, pruned, prunedOnWrite atomic.Int64
 }
 
 // NewManager returns a Manager drawing timestamps from oracle.
@@ -144,10 +148,18 @@ func (m *Manager) End(snap *Snapshot) {
 // called after the commit record is durable and before the transaction's
 // write locks are released, so that any later snapshot either sees all of
 // the transaction's versions or none.
+//
+// Commit also keeps the status table bounded without a vacuum: once the
+// table has doubled since the last prune it prunes inline, so the prune
+// cost is amortized O(1) per commit and the table tracks what open
+// snapshots can still distinguish rather than every transaction ever run.
 func (m *Manager) Commit(id uint64) {
 	ts := m.oracle.Next()
 	m.mu.Lock()
 	m.txns[id] = &txnStatus{state: stateCommitted, commitTS: ts}
+	if len(m.txns) >= m.pruneAt {
+		m.pruneLocked()
+	}
 	m.mu.Unlock()
 	m.commits.Add(1)
 }
@@ -195,17 +207,47 @@ func (m *Manager) Conflict() { m.conflicts.Add(1) }
 // Pruned counts n dead versions physically reclaimed by vacuum.
 func (m *Manager) Pruned(n int64) { m.pruned.Add(n) }
 
+// PrunedOnWrite counts n dead versions a writer reclaimed from a page it
+// superseded a version on.
+func (m *Manager) PrunedOnWrite(n int64) { m.prunedOnWrite.Add(n) }
+
 // Visible reports whether a version stamped (xmin, xmax) is visible to snap:
 // the creator must be the snapshot's own transaction or committed at or
 // before the snapshot's begin timestamp, and the deleter (if any) must not
 // be — a deletion by self, or committed at or before the begin timestamp,
 // hides the version; an active, aborted, or later-committed deleter does
-// not. It runs once per row on every versioned scan.
+// not. Scans decide a whole page at once through VisibleAll; Visible serves
+// single-version checks.
 //
 //stagedb:hot
 func (m *Manager) Visible(snap *Snapshot, xmin, xmax uint64) bool {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
+	return m.visibleLocked(snap, xmin, xmax)
+}
+
+// Stamp is one version's header stamps: its creator and its deleter (0
+// while live).
+type Stamp struct {
+	Xmin, Xmax uint64
+}
+
+// VisibleAll sets keep[i] to Visible(snap, vers[i]) for every stamp, under a
+// single acquisition of the status-table lock. Scans call it once per heap
+// page, so a scan takes the lock that every Begin and Commit needs
+// exclusively once per page rather than once per row.
+//
+//stagedb:hot
+func (m *Manager) VisibleAll(snap *Snapshot, vers []Stamp, keep []bool) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	for i, v := range vers {
+		keep[i] = m.visibleLocked(snap, v.Xmin, v.Xmax)
+	}
+}
+
+//stagedb:hot
+func (m *Manager) visibleLocked(snap *Snapshot, xmin, xmax uint64) bool {
 	if xmin != snap.ID {
 		ts, committed := m.commitTSLocked(xmin)
 		if !committed || ts > snap.TS {
@@ -269,6 +311,13 @@ func (m *Manager) oldestActiveLocked() vclock.Time {
 func (m *Manager) Prune() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.pruneLocked()
+}
+
+// minPruneAt keeps a near-empty status table from pruning on every commit.
+const minPruneAt = 64
+
+func (m *Manager) pruneLocked() int {
 	horizon := m.oldestActiveLocked()
 	dropped := 0
 	for id, st := range m.txns {
@@ -285,6 +334,7 @@ func (m *Manager) Prune() int {
 			}
 		}
 	}
+	m.pruneAt = max(2*len(m.txns), minPruneAt)
 	return dropped
 }
 
@@ -302,5 +352,6 @@ func (m *Manager) Stats() Stats {
 	s.Aborts = m.aborts.Load()
 	s.Conflicts = m.conflicts.Load()
 	s.VersionsPruned = m.pruned.Load()
+	s.PrunedOnWrite = m.prunedOnWrite.Load()
 	return s
 }

@@ -49,6 +49,29 @@ func BindTableExpr(t *catalog.Table, e sql.Expr) (Expr, error) {
 	return fold(bound), nil
 }
 
+// BindTarget plans the row source of an UPDATE or DELETE on t: the access
+// path a single-table SELECT with the same WHERE gets — an IndexScan for an
+// indexable key predicate (equality, range or BETWEEN over a constant or
+// `?` bound), a SeqScan otherwise — plus the whole WHERE bound against t
+// (nil without one). The scan's Filter is only the residual the index does
+// not cover; callers apply the full predicate to every candidate row.
+func BindTarget(t *catalog.Table, where sql.Expr, opt Options) (Node, Expr, error) {
+	r := &relation{binding: t.Name, table: t}
+	for _, c := range splitConjuncts(where) {
+		f, err := BindTableExpr(t, c)
+		if err != nil {
+			return nil, nil, err
+		}
+		r.filters = append(r.filters, f)
+	}
+	b := &selBinder{opt: opt}
+	scan, err := b.buildScan(r)
+	if err != nil {
+		return nil, nil, err
+	}
+	return scan, andAll(r.filters), nil
+}
+
 type relation struct {
 	binding string
 	table   *catalog.Table

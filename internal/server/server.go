@@ -115,6 +115,10 @@ type Server struct {
 	// testHookExec, when set (tests only), runs in the session goroutine
 	// before each query executes — the seam for injecting panics.
 	testHookExec func(sql string)
+	// testHookWrite, when set (tests only), runs in the session goroutine
+	// just before each frame is written — the seam for landing a Cancel at
+	// a chosen point of a result stream.
+	testHookWrite func(s *session, typ byte)
 }
 
 // New listens on opts.Addr and returns a server ready to Serve. ctx parents

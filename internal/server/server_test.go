@@ -343,6 +343,41 @@ func TestCancelMidStreamKeepsSession(t *testing.T) {
 	assertNoLeaks(t, db)
 }
 
+// TestCancelDuringDoneKeepsSession lands a Cancel exactly while the worker
+// writes a query's terminal Done frame, when nothing is left to cancel. The
+// Done must still arrive and the session stay usable: a Cancel that
+// interrupted that write lost the Done and left the client waiting forever.
+func TestCancelDuringDoneKeepsSession(t *testing.T) {
+	srv, db := startServer(t, stagedb.Options{}, Options{})
+	srv.testHookWrite = func(s *session, typ byte) {
+		if typ == wire.MsgDone {
+			s.cancelQuery()
+		}
+	}
+	c := dial(t, srv, "")
+	mustExec(t, c, "CREATE TABLE t (id INT PRIMARY KEY)")
+	mustExec(t, c, "INSERT INTO t VALUES (1), (2), (3)")
+	for round := 0; round < 3; round++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		rows, err := c.QueryContext(ctx, "SELECT id FROM t")
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for rows.Next() {
+			n++
+		}
+		if err := rows.Close(); err != nil || n != 3 {
+			t.Fatalf("round %d: %d rows, close: %v", round, n, err)
+		}
+		cancel()
+	}
+	if res := mustExec(t, c, "SELECT COUNT(*) FROM t"); res.Rows[0][0].Int() != 3 {
+		t.Fatalf("count = %v", res.Rows)
+	}
+	assertNoLeaks(t, db)
+}
+
 func TestPanicIsolation(t *testing.T) {
 	srv, _ := startServer(t, stagedb.Options{}, Options{})
 	srv.testHookExec = func(sql string) {

@@ -142,7 +142,7 @@ func (s *session) reader(frames chan<- wire.Query) {
 				return
 			}
 		case wire.MsgCancel:
-			s.cancelInflight()
+			s.cancelQuery()
 		case wire.MsgQuit:
 			return
 		default:
@@ -154,9 +154,21 @@ func (s *session) reader(frames chan<- wire.Query) {
 	}
 }
 
-// cancelInflight fails the running query (if any) and pokes the write
-// deadline so a worker parked in conn.Write on a full socket unblocks and
-// observes the cancellation.
+// cancelQuery answers a Cancel frame: it fails the running query (if any)
+// through its context only. The worker sees the cancellation at its next
+// page and answers Done(canceled); a frame it is writing meanwhile
+// completes, because a canceling client drains to Done. Interrupting that
+// write instead could tear the frame or lose the Done, and leave the
+// client waiting forever.
+func (s *session) cancelQuery() {
+	if cf, ok := s.cancelQ.Load().(context.CancelFunc); ok && cf != nil {
+		cf()
+	}
+}
+
+// cancelInflight is cancelQuery for a session that is ending (disconnect,
+// protocol violation): it also pokes the write deadline so a worker parked
+// in conn.Write on a full socket unblocks at once.
 func (s *session) cancelInflight() {
 	if cf, ok := s.cancelQ.Load().(context.CancelFunc); ok && cf != nil {
 		cf()
@@ -281,38 +293,38 @@ func (s *session) queryContext(q wire.Query) (context.Context, context.CancelFun
 	return context.WithCancel(s.ctx)
 }
 
-// failWrite handles a result-frame write failure. Two causes look alike —
-// the write deadline fired — but mean opposite things: a Cancel frame pokes
-// the deadline to interrupt a parked write (the session must live on and
-// answer Done(canceled)), while a client that is slow past WriteTimeout or
-// gone is dead weight (cancel its query, end the session).
+// failWrite ends the session after a result-frame write failed: the write
+// may have sent part of a frame, so nothing more can be written on the
+// connection, and closing it lets the client see EOF instead of waiting for
+// a Done that cannot arrive. With the query still live, the cause is a
+// client slow past WriteTimeout (or gone); otherwise the session was
+// already ending.
 func (s *session) failWrite(qctx context.Context) {
-	if err := qctx.Err(); err != nil {
-		// Interrupted by cancellation (or deadline), not a dead client:
-		// answer the terminal Done under a fresh write deadline.
-		code := codeFor(err)
-		msg := stagedb.ErrCanceled.Error()
-		if code == wire.ErrCodeTimeout {
-			msg = stagedb.ErrTimeout.Error()
-		}
-		s.writeDoneErr(code, msg)
-		return
+	if qctx.Err() == nil {
+		s.srv.adm.counters.Inc("slow_client_aborts")
 	}
-	s.srv.adm.counters.Inc("slow_client_aborts")
 	s.cancel()
 }
 
 // writeFrame writes one frame under a fresh WriteTimeout deadline. An
-// in-flight write is interruptible: cancelInflight pokes the deadline into
-// the past, so a parked write returns a timeout error immediately.
+// in-flight write is interruptible: cancelInflight (a session ending) pokes
+// the deadline into the past, so a parked write returns a timeout error
+// immediately.
 func (s *session) writeFrame(typ byte, payload []byte) error {
 	s.wbuf = payload // keep the grown scratch buffer for the next frame
 	s.conn.SetWriteDeadline(time.Now().Add(s.srv.opts.WriteTimeout))
+	if hook := s.srv.testHookWrite; hook != nil {
+		hook(s, typ)
+	}
 	return wire.WriteFrame(s.conn, typ, payload)
 }
 
+// writeDone writes a query's terminal frame. If it cannot be written the
+// session ends, so the client sees EOF rather than wait for it forever.
 func (s *session) writeDone(d wire.Done) {
-	s.writeFrame(wire.MsgDone, d.Append(s.wbuf[:0]))
+	if err := s.writeFrame(wire.MsgDone, d.Append(s.wbuf[:0])); err != nil {
+		s.cancel()
+	}
 }
 
 func (s *session) writeDoneErr(code wire.ErrCode, msg string) {

@@ -15,8 +15,9 @@ type Heap struct {
 	live  atomic.Int64 // live records, maintained O(1) by Insert/Delete
 
 	// latch serializes raw page-byte access: mutators (insert/delete/update
-	// apply sections) hold it exclusively, readers (Get/Scan/ScanPage/Count)
-	// hold it shared per page visit. Under MVCC, snapshot readers scan with
+	// apply sections) hold it exclusively, readers (Get/Count) hold it
+	// shared per page visit, and scans (Scan/ScanPage) hold it shared only
+	// long enough to copy the page. Under MVCC, snapshot readers scan with
 	// no table lock while a writer mutates other slots of the same pages;
 	// the latch keeps those byte accesses from tearing. It is held across
 	// the mutation's WAL-append callback so the log order matches the page
@@ -51,23 +52,39 @@ type LogFunc func(rid RID) (uint64, error)
 // Insert stores rec and returns its RID.
 func (h *Heap) Insert(rec []byte) (RID, error) { return h.InsertLogged(rec, nil) }
 
-// InsertLogged stores rec, invoking logf with the chosen RID while the page
-// is still pinned. If logging fails the page change is reverted, so storage
+// InsertLogged stores rec on the heap's last page, or on a fresh page when
+// it does not fit there, invoking logf with the chosen RID while the page is
+// still pinned. If logging fails the page change is reverted, so storage
 // never holds a row the log does not know about.
 func (h *Heap) InsertLogged(rec []byte, logf LogFunc) (RID, error) {
+	return h.InsertLoggedNear(InvalidPage, rec, logf)
+}
+
+// InsertLoggedNear is InsertLogged that first tries page near, reusing a
+// never-used slot and compacting the page's reclaimed space if needed.
+// Writers pass the page of the version rec supersedes, so the space pruning
+// frees there is reused instead of growing the heap.
+func (h *Heap) InsertLoggedNear(near PageID, rec []byte, logf LogFunc) (RID, error) {
+	if len(rec) == 0 || len(rec) > PageSize-headerSize-slotSize {
+		return RID{}, fmt.Errorf("storage: record size %d out of range", len(rec))
+	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	// Try the last page first; the common case for bulk loads.
+	last := InvalidPage
 	if n := len(h.pages); n > 0 {
-		id := h.pages[n-1]
+		last = h.pages[n-1] // the common case for bulk loads
+	}
+	for i, id := range [2]PageID{near, last} {
+		if id == InvalidPage || i == 1 && id == near {
+			continue // no such page, or already tried
+		}
 		pg, err := h.pool.Pin(id)
 		if err != nil {
 			return RID{}, err
 		}
-		if pg.FreeSpace() >= len(rec) {
-			return h.insertPinned(pg, id, rec, logf)
+		if rid, ok, err := h.placePinned(pg, id, rec, logf); err != nil || ok {
+			return rid, err
 		}
-		h.pool.Unpin(id, false)
 	}
 	pg, id, err := h.pool.NewPage()
 	if err != nil {
@@ -80,27 +97,31 @@ func (h *Heap) InsertLogged(rec []byte, logf LogFunc) (RID, error) {
 		}
 	}
 	h.pages = append(h.pages, id)
-	return h.insertPinned(pg, id, rec, logf)
+	rid, _, err := h.placePinned(pg, id, rec, logf) // a fresh page always has room
+	return rid, err
 }
 
-// insertPinned applies and logs one insert into the already-pinned page,
-// unpinning it on every path.
-func (h *Heap) insertPinned(pg *Page, id PageID, rec []byte, logf LogFunc) (RID, error) {
+// placePinned places and logs rec on the already-pinned page, unpinning it
+// on every path. It reports ok=false, with the page logically unchanged,
+// when rec does not fit.
+func (h *Heap) placePinned(pg *Page, id PageID, rec []byte, logf LogFunc) (RID, bool, error) {
 	h.latch.Lock()
-	slot, err := pg.Insert(rec)
-	if err != nil {
+	slot, ok := pg.place(rec)
+	if !ok {
 		h.latch.Unlock()
-		h.pool.Unpin(id, false)
-		return RID{}, err
+		// A compaction may have rewritten the page: it must reach disk with
+		// the rest of the page's state.
+		h.pool.Unpin(id, true)
+		return RID{}, false, nil
 	}
 	rid := RID{Page: id, Slot: slot}
 	if logf != nil {
 		lsn, err := logf(rid)
 		if err != nil {
-			pg.revertInsert(slot)
+			pg.revertPlace(slot)
 			h.latch.Unlock()
-			h.pool.Unpin(id, false)
-			return RID{}, err
+			h.pool.Unpin(id, true)
+			return RID{}, false, err
 		}
 		if lsn != 0 {
 			pg.SetLSN(lsn)
@@ -109,7 +130,7 @@ func (h *Heap) insertPinned(pg *Page, id PageID, rec []byte, logf LogFunc) (RID,
 	h.latch.Unlock()
 	h.pool.Unpin(id, true)
 	h.live.Add(1)
-	return rid, nil
+	return rid, true, nil
 }
 
 // Get copies the record at rid.
@@ -266,35 +287,11 @@ func (h *Heap) UpdateLogged(rid RID, rec []byte, logf LogFunc) (bool, error) {
 // Scan visits every live record in RID order. The rec slice is only valid
 // for the duration of the callback. Returning false stops the scan.
 func (h *Heap) Scan(visit func(rid RID, rec []byte) bool) error {
-	h.mu.Lock()
-	pages := make([]PageID, len(h.pages))
-	copy(pages, h.pages)
-	h.mu.Unlock()
-	for _, id := range pages {
-		pg, err := h.pool.Pin(id)
-		if err != nil {
+	for _, id := range h.PageIDs() {
+		more, err := h.visitPage(id, visit)
+		if err != nil || !more {
 			return err
 		}
-		h.latch.RLock()
-		n := pg.SlotCount()
-		for slot := uint16(0); slot < n; slot++ {
-			if !pg.Live(slot) {
-				continue
-			}
-			rec, err := pg.Get(slot)
-			if err != nil {
-				h.latch.RUnlock()
-				h.pool.Unpin(id, false)
-				return err
-			}
-			if !visit(RID{Page: id, Slot: slot}, rec) {
-				h.latch.RUnlock()
-				h.pool.Unpin(id, false)
-				return nil
-			}
-		}
-		h.latch.RUnlock()
-		h.pool.Unpin(id, false)
 	}
 	return nil
 }
@@ -309,31 +306,46 @@ func (h *Heap) PageIDs() []PageID {
 	return pages
 }
 
-// ScanPage pins one heap page and visits every live record on it. The rec
-// slice is only valid for the duration of the callback. Returning false stops
-// the visit (the page is still unpinned).
+// ScanPage visits every live record on one heap page. The rec slice is
+// only valid for the duration of the callback. Returning false stops the
+// visit.
 func (h *Heap) ScanPage(id PageID, visit func(rid RID, rec []byte) bool) error {
+	_, err := h.visitPage(id, visit)
+	return err
+}
+
+// pageCopies recycles the private page images scans visit.
+var pageCopies = sync.Pool{New: func() any { return new(Page) }}
+
+// visitPage copies page id under the read latch and visits the copy's live
+// records with the latch released, so a writer waits for an 8 KB copy
+// rather than for the visitor's decode of the whole page. It reports
+// whether the visitor asked to continue.
+func (h *Heap) visitPage(id PageID, visit func(rid RID, rec []byte) bool) (bool, error) {
 	pg, err := h.pool.Pin(id)
 	if err != nil {
-		return err
+		return false, err
 	}
-	defer h.pool.Unpin(id, false)
+	cp := pageCopies.Get().(*Page)
+	defer pageCopies.Put(cp)
 	h.latch.RLock()
-	defer h.latch.RUnlock()
-	n := pg.SlotCount()
+	cp.buf = pg.buf
+	h.latch.RUnlock()
+	h.pool.Unpin(id, false)
+	n := cp.SlotCount()
 	for slot := uint16(0); slot < n; slot++ {
-		if !pg.Live(slot) {
+		if !cp.liveAt(slot) {
 			continue
 		}
-		rec, err := pg.Get(slot)
+		rec, err := cp.Get(slot)
 		if err != nil {
-			return err
+			return false, err
 		}
 		if !visit(RID{Page: id, Slot: slot}, rec) {
-			return nil
+			return false, nil
 		}
 	}
-	return nil
+	return true, nil
 }
 
 // Cursor is a resumable scan over the heap: records come back in RID order,

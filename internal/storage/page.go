@@ -40,7 +40,8 @@ func (r RID) String() string { return fmt.Sprintf("%d:%d", r.Page, r.Slot) }
 // slot keeps its offset and capacity but sets the deadFlag bit in the length
 // word, so recovery's PutAt can restore a record in place at the same slot —
 // the idempotent un-delete physiological undo depends on. A slot with offset
-// 0 was materialized by PutAt extending the slot array and never held data.
+// 0 holds no data: PutAt materialized it by extending the slot array, or a
+// compaction reclaimed its bytes.
 const (
 	headerSize   = 18
 	slotSize     = 4
@@ -212,7 +213,12 @@ func (p *Page) PutAt(slot uint16, rec []byte) error {
 		return nil
 	}
 	if int(p.freeHigh())-len(rec) < int(p.freeLow()) {
-		return fmt.Errorf("storage: page %d full restoring slot %d", p.ID(), slot)
+		// Redo replays a placement that ran on a compacted page; compaction
+		// itself is not logged, so repeat it when the page needs the room.
+		p.compact()
+		if int(p.freeHigh())-len(rec) < int(p.freeLow()) {
+			return fmt.Errorf("storage: page %d full restoring slot %d", p.ID(), slot)
+		}
 	}
 	newHigh := p.freeHigh() - uint16(len(rec))
 	copy(p.buf[newHigh:], rec)
@@ -242,6 +248,107 @@ func (p *Page) revertInsert(slot uint16) {
 	off, length := p.slotAt(slot)
 	binary.LittleEndian.PutUint16(p.buf[offSlotCount:], slot)
 	binary.LittleEndian.PutUint16(p.buf[offFreeLow:], headerSize+uint16(int(slot)*slotSize))
+	binary.LittleEndian.PutUint16(p.buf[offFreeHigh:], off+length)
+}
+
+// compact packs the live records against the end of the page, returning the
+// bytes of tombstoned slots (and of records a PutAt outgrew) to the free
+// region. Slot numbers of live records do not change, so every RID stays
+// valid; tombstoned slots lose their bytes and become never-used (offset 0),
+// so a later PutAt revives them from free space and place may hand the slot
+// number to a new record. Compaction is a pure function of the page's live
+// contents and is not logged: redo repeats it on demand (PutAt) when a
+// replayed placement needs the room.
+func (p *Page) compact() {
+	old := p.buf
+	high := uint16(PageSize)
+	n := p.SlotCount()
+	for i := uint16(0); i < n; i++ {
+		off, length := p.slotAt(i)
+		if off == 0 || length&deadFlag != 0 {
+			p.setSlot(i, 0, 0)
+			continue
+		}
+		high -= length
+		copy(p.buf[high:], old[off:off+length])
+		p.setSlot(i, high, length)
+	}
+	binary.LittleEndian.PutUint16(p.buf[offFreeHigh:], high)
+}
+
+// usedBytes reports the record bytes live slots hold.
+func (p *Page) usedBytes() int {
+	used := 0
+	n := p.SlotCount()
+	for i := uint16(0); i < n; i++ {
+		if p.liveAt(i) {
+			_, length := p.slotAt(i)
+			used += int(length)
+		}
+	}
+	return used
+}
+
+// freeSlot returns the first never-used slot (one compact emptied, or a
+// PutAt gap), if any.
+func (p *Page) freeSlot() (uint16, bool) {
+	n := p.SlotCount()
+	for i := uint16(0); i < n; i++ {
+		if off, _ := p.slotAt(i); off == 0 {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// place stores rec like Insert, but first reuses a never-used slot and,
+// when the free region is short, compacts the page to make room. It reports
+// ok=false (page unchanged apart from a possible compaction) when rec does
+// not fit even then. Reusing slot numbers keeps the slot array from growing
+// on pages writers keep refilling, and is safe under MVCC: a reader that
+// fetched the old RID from an index before the slot was reclaimed finds, at
+// most, a version created after its snapshot began.
+func (p *Page) place(rec []byte) (slot uint16, ok bool) {
+	if len(rec) == 0 || len(rec) > PageSize-headerSize-slotSize {
+		return 0, false
+	}
+	for pass := 0; pass < 2; pass++ {
+		free := int(p.freeHigh()) - int(p.freeLow())
+		if s, reuse := p.freeSlot(); reuse && free >= len(rec) {
+			high := p.freeHigh() - uint16(len(rec))
+			copy(p.buf[high:], rec)
+			p.setSlot(s, high, uint16(len(rec)))
+			binary.LittleEndian.PutUint16(p.buf[offFreeHigh:], high)
+			return s, true
+		}
+		if p.FreeSpace() >= len(rec) {
+			s, err := p.Insert(rec)
+			return s, err == nil
+		}
+		if pass == 0 {
+			// Compaction empties every tombstoned slot, so after it a
+			// reusable slot exists whenever one was dead.
+			reclaim := PageSize - int(p.freeHigh()) - p.usedBytes()
+			if reclaim == 0 || free+reclaim < len(rec) {
+				return 0, false
+			}
+			p.compact()
+		}
+	}
+	return 0, false
+}
+
+// revertPlace undoes a place into slot. The record sits at the free-space
+// high mark; the newest slot is dropped from the array (whether place
+// appended it or reused a trailing never-used one, the page is logically
+// unchanged), any other slot goes back to never-used.
+func (p *Page) revertPlace(slot uint16) {
+	if slot == p.SlotCount()-1 {
+		p.revertInsert(slot)
+		return
+	}
+	off, length := p.slotAt(slot)
+	p.setSlot(slot, 0, 0)
 	binary.LittleEndian.PutUint16(p.buf[offFreeHigh:], off+length)
 }
 

@@ -127,3 +127,26 @@ func BenchmarkMixedFirstRow(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPointUpdate measures a primary-key point UPDATE at two table
+// sizes. UPDATE targets are planned through the B+tree like a SELECT's, and
+// writers reclaim dead versions on the pages they touch, so the cost must
+// not grow with the table: bench_gate.sh holds rows=10k within 2x of
+// rows=1k.
+func BenchmarkPointUpdate(b *testing.B) {
+	for _, n := range []int{1000, 10000} {
+		b.Run(fmt.Sprintf("rows=%dk", n/1000), func(b *testing.B) {
+			db := mustOpen(b, Options{})
+			defer db.Close()
+			loadPadded(b, db, n)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				// A prime stride scatters the updates over the whole table.
+				if _, err := db.Exec("UPDATE padded SET grp = grp + 1 WHERE id = ?", (i*7919)%n); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

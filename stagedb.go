@@ -343,21 +343,25 @@ func (db *DB) ExecScript(script string) error { return db.defConn.ExecScript(scr
 // loads so the planner sees realistic cardinalities.
 func (db *DB) Analyze(table string) error { return db.kernel.Analyze(table) }
 
-// Explain returns the physical plan for a SELECT without running it.
+// Explain returns the physical plan for a SELECT, or the target access
+// path of an UPDATE or DELETE (e.g. "Update acct ← IndexScan acct via
+// pk_acct [$1, $1]"), without running it.
 func (db *DB) Explain(sqlText string) (string, error) {
 	stmt, err := sql.Parse(sqlText)
 	if err != nil {
 		return "", err
 	}
-	sel, ok := stmt.(*sql.Select)
-	if !ok {
-		return "", fmt.Errorf("stagedb: EXPLAIN supports SELECT only")
+	switch x := stmt.(type) {
+	case *sql.Select:
+		node, err := db.kernel.Plan(x)
+		if err != nil {
+			return "", err
+		}
+		return plan.Explain(node), nil
+	case *sql.Update, *sql.Delete:
+		return db.kernel.ExplainTarget(stmt)
 	}
-	node, err := db.kernel.Plan(sel)
-	if err != nil {
-		return "", err
-	}
-	return plan.Explain(node), nil
+	return "", fmt.Errorf("stagedb: EXPLAIN supports SELECT, UPDATE and DELETE only")
 }
 
 // Stages returns per-stage monitoring snapshots (queue lengths, service

@@ -136,7 +136,32 @@ func TestExplain(t *testing.T) {
 		t.Fatalf("primary-key lookup should use the index:\n%s", out)
 	}
 	if _, err := db.Explain("INSERT INTO e VALUES (1, 1)"); err == nil {
-		t.Fatal("EXPLAIN of DML should fail")
+		t.Fatal("EXPLAIN of INSERT should fail")
+	}
+}
+
+// TestExplainDMLTargetPath checks that UPDATE and DELETE find their targets
+// through the same access path a SELECT would: the primary-key index for a
+// key predicate (a `?` bound included), a heap scan otherwise.
+func TestExplainDMLTargetPath(t *testing.T) {
+	db := mustOpen(t, Options{})
+	defer db.Close()
+	if err := db.ExecScript("CREATE TABLE acct (id INT PRIMARY KEY, v INT)"); err != nil {
+		t.Fatal(err)
+	}
+	for q, want := range map[string]string{
+		"UPDATE acct SET v = v + 1 WHERE id = ?":    "Update acct ← IndexScan acct via pk_acct [$1, $1]",
+		"DELETE FROM acct WHERE id BETWEEN 3 AND 9": "Delete acct ← IndexScan acct via pk_acct [3, 9]",
+		"UPDATE acct SET v = 0 WHERE v = 3":         "Update acct ← SeqScan acct",
+		"DELETE FROM acct":                          "Delete acct ← SeqScan acct",
+	} {
+		out, err := db.Explain(q)
+		if err != nil {
+			t.Fatalf("explain %q: %v", q, err)
+		}
+		if !strings.HasPrefix(out, want) {
+			t.Fatalf("explain %q = %q, want prefix %q", q, out, want)
+		}
 	}
 }
 
